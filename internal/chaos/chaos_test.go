@@ -254,3 +254,23 @@ func TestFlightDumpOnlyOnFailure(t *testing.T) {
 		t.Errorf("passing schedule has a flight dump:\n%s", res.FlightDump)
 	}
 }
+
+// TestMergeDuringFreezeSeed pins cycle-1 seed 118, a weak/none schedule
+// whose main subtree migrates 0→1 and back while transport faults slow
+// the migration's control messages. Streamed merges into the subtree
+// used to finish admission after the exporting rank had frozen it, then
+// apply behind the export snapshot: their updates (and any directories
+// they created) were pruned with the export and never reached the
+// importer. Both handoffs must now commit with every merged update
+// visible on the final owner.
+func TestMergeDuringFreezeSeed(t *testing.T) {
+	r := Run(118)
+	if !r.Passed() {
+		var buf bytes.Buffer
+		Report(&buf, []Result{r})
+		t.Fatalf("seed 118 failed:\n%s", buf.String())
+	}
+	if r.Migrations != 2 {
+		t.Fatalf("seed 118 committed %d migrations, want 2", r.Migrations)
+	}
+}

@@ -212,11 +212,14 @@ func (s *Server) migrateDirCPU() runtime.Duration {
 }
 
 // frozenCovers reports whether path is inside any frozen subtree.
-func (s *Server) frozenCovers(path string) bool {
-	if len(s.frozen) == 0 || path == "" {
+func (s *Server) frozenCovers(path string) bool { return pathCovered(s.frozen, path) }
+
+// pathCovered reports whether path is inside any subtree in set.
+func pathCovered(set map[string]bool, path string) bool {
+	if len(set) == 0 || path == "" {
 		return false
 	}
-	for f := range s.frozen {
+	for f := range set {
 		if f == path || (len(path) > len(f) &&
 			(f == "/" || (path[:len(f)] == f && path[len(f)] == '/'))) {
 			return true
@@ -228,7 +231,11 @@ func (s *Server) frozenCovers(path string) bool {
 // exportFreeze is the ExportFreezeMsg handler: quiesce and snapshot the
 // subtree. Freezing refuses while any Volatile Apply is in flight — a
 // merge applied mid-export would corrupt the streamed image — and the
-// monitor simply aborts and retries the migration later.
+// monitor simply aborts and retries the migration later. Merges that
+// reach the subtree while the freeze snapshots it bounce (freezing), and
+// a streamed merge still paying its admission cost re-checks the bounce
+// before it is admitted, so none applies after the directory list is
+// taken.
 func (s *Server) exportFreeze(p runtime.Task, m *ExportFreezeMsg) *ExportFreezeReply {
 	if s.stopped {
 		return &ExportFreezeReply{Err: ErrShutdown}
@@ -238,9 +245,14 @@ func (s *Server) exportFreeze(p runtime.Task, m *ExportFreezeMsg) *ExportFreezeR
 			s.mergeQueue, namespace.ErrBusy)}
 	}
 	path := cleanSubtreePath(m.Path)
-	if s.frozenCovers(path) {
+	if s.frozenCovers(path) || pathCovered(s.freezing, path) {
 		return &ExportFreezeReply{Err: fmt.Errorf("mds: export %s: %w", path, namespace.ErrBusy)}
 	}
+	if s.freezing == nil {
+		s.freezing = make(map[string]bool)
+	}
+	s.freezing[path] = true
+	defer delete(s.freezing, path)
 	s.cpu.Acquire(p)
 	defer s.cpu.Release()
 	p.Sleep(s.serviceTime(OpResolve))

@@ -93,8 +93,14 @@ func (s *Server) mergeOpen(p runtime.Task, m *MergeOpenMsg) *MergeOpenReply {
 	// does; session/inode-range validation before any chunk applies.
 	p.Sleep(s.cfg.NetLatency)
 	s.cpu.Use(p, s.cfg.MDSMergeSetup)
-	s.metrics.MergeJobs++
 	ms.admitting--
+	// The yields above may have let a migration freeze the subtree or
+	// move it away: re-run the bounce, or the job would apply into a
+	// snapshot that is already being exported.
+	if bounced := s.bounce(m); bounced != nil {
+		return bounced.(*MergeOpenReply)
+	}
+	s.metrics.MergeJobs++
 
 	win := s.cfg.MergeWindowChunks
 	if win < 1 {

@@ -153,11 +153,14 @@ type Server struct {
 
 	// frozen marks subtree paths mid-export: requests into them bounce
 	// with a Frozen redirect until the migration commits or aborts.
-	// exports holds the live export sessions; imports is the
-	// destination-side scheduler. All volatile — a crash wipes them.
-	frozen  map[string]bool
-	exports map[string]*exportState
-	imports *importSched
+	// freezing marks paths whose freeze is still snapshotting: merges
+	// into them already bounce, RPCs are still served. exports holds the
+	// live export sessions; imports is the destination-side scheduler.
+	// All volatile — a crash wipes them.
+	frozen   map[string]bool
+	freezing map[string]bool
+	exports  map[string]*exportState
+	imports  *importSched
 
 	// resolveOwner is the cluster-installed ownership oracle for the
 	// stale-routing bounce: it returns the owning rank and table epoch
@@ -429,7 +432,7 @@ func (s *Server) bounce(msg any) any {
 	if s.resolveOwner != nil {
 		_, _, checkOwner = s.resolveOwner("/")
 	}
-	if len(s.frozen) == 0 && !checkOwner {
+	if len(s.frozen) == 0 && len(s.freezing) == 0 && !checkOwner {
 		return nil
 	}
 	route := RouteOf(msg)
@@ -446,7 +449,9 @@ func (s *Server) bounce(msg any) any {
 		}
 	}
 	var werr *transport.WrongRankError
-	if s.frozenCovers(cleanSubtreePath(route)) {
+	_, rpc := msg.(*Request)
+	if clean := cleanSubtreePath(route); s.frozenCovers(clean) ||
+		(!rpc && pathCovered(s.freezing, clean)) {
 		werr = &transport.WrongRankError{Path: route, Rank: s.rank, Frozen: true}
 	} else if checkOwner {
 		if rank, e, ok := s.resolveOwner(route); ok && rank != s.rank {
@@ -553,6 +558,7 @@ func (s *Server) Crash() {
 	// session and aborts); in-flight imports are retired the same way
 	// streamed merges are.
 	s.frozen = nil
+	s.freezing = nil
 	s.exports = nil
 	for _, job := range s.imports.jobs {
 		job.aborted = true

@@ -1,3 +1,9 @@
+// The coroutines below come from the iter package (Go 1.23). go.mod stays
+// at go 1.22 so dependent modules pinned there still build; this
+// constraint raises the language version for this file alone.
+
+//go:build go1.23
+
 // Package sim is a deterministic discrete-event simulation kernel.
 //
 // It provides a virtual clock, coroutine-style processes, FIFO resource
@@ -6,13 +12,17 @@
 // daemons, monitor) is modeled as sim processes that execute the real
 // metadata code paths while charging virtual time to simulated devices.
 //
-// Only one process runs at a time; the engine and the running process hand
-// control back and forth over unbuffered channels, so simulations are fully
-// deterministic for a given seed and schedule.
+// Each process runs on an iter.Pull coroutine. Only one process runs at a
+// time: the event loop resumes a process by switching into its coroutine,
+// and the process switches back when it blocks or finishes, so simulations
+// are fully deterministic for a given seed and schedule. A Sleep whose
+// wake time comes strictly before every queued event advances the clock
+// inline without switching at all.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 	"strings"
@@ -107,14 +117,15 @@ type Engine struct {
 	queue   eventQueue
 	rng     *rand.Rand
 	running bool
-
-	// yielded is signaled by a process when it blocks or finishes,
-	// returning control to the engine loop.
-	yielded chan struct{}
+	until   Time // bound of the current Run, read by the Sleep fast path
 
 	procs   int // live process count, for leak detection
 	live    map[*Proc]struct{}
 	stopped bool
+
+	// idle holds the coroutines of finished processes for Go to reuse;
+	// Shutdown ends them.
+	idle []*worker
 
 	// tracer is the span recorder every layer records into; nil (the
 	// default) disables tracing with zero overhead. It lives on the
@@ -139,9 +150,8 @@ type Engine struct {
 // source is seeded deterministically with seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		rng:     rand.New(rand.NewSource(seed)),
-		yielded: make(chan struct{}),
-		live:    make(map[*Proc]struct{}),
+		rng:  rand.New(rand.NewSource(seed)),
+		live: make(map[*Proc]struct{}),
 	}
 }
 
@@ -192,33 +202,77 @@ func (e *Engine) Schedule(d Duration, fn func()) {
 
 // Go spawns a new process executing fn. The process starts when the engine
 // next reaches the current virtual time in its event loop.
+//
+// The process body runs on a worker coroutine, taken when the process
+// starts; only the event loop (and Shutdown, outside it) resumes it. A
+// panic other than the kill signal propagates out of the resuming call,
+// so it surfaces from Engine.Run with its original value.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
+	p.wake = func() { p.w.next() }
 	e.procs++
 	e.live[p] = struct{}{}
 	e.Schedule(0, func() {
-		p.started = true
-		go func() {
-			defer func() {
-				r := recover()
-				p.done = true
-				e.procs--
-				delete(e.live, p)
-				e.yielded <- struct{}{}
-				if r != nil && r != errProcKilled {
-					panic(r)
-				}
-			}()
-			fn(p)
-		}()
-		// Wait for the new goroutine to block or finish.
-		<-e.yielded
+		p.w = e.worker()
+		p.w.proc, p.w.fn = p, fn
+		p.w.next() // runs until the process blocks or finishes
 	})
 	return p
+}
+
+// worker is an iter.Pull coroutine that runs process bodies one after
+// another. A finished process parks its worker on the engine's idle list
+// instead of ending the coroutine, so most spawns create no goroutine.
+// It also keeps the race detector's memory flat: the Go runtime does not
+// release a coroutine's race state when the coroutine exits.
+type worker struct {
+	// next resumes the coroutine until its process blocks or finishes;
+	// yield suspends it from inside; stop ends an idle worker.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+	proc  *Proc
+	fn    func(p *Proc)
+}
+
+// worker returns an idle worker, or a new one when none is idle.
+func (e *Engine) worker() *worker {
+	if n := len(e.idle); n > 0 {
+		w := e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+		return w
+	}
+	w := &worker{}
+	w.next, w.stop = iter.Pull(func(yield func(struct{}) bool) {
+		w.yield = yield
+		for {
+			w.run()
+			e.idle = append(e.idle, w)
+			if !yield(struct{}{}) {
+				return // stopped by Shutdown
+			}
+		}
+	})
+	return w
+}
+
+// run executes the assigned process body to completion. The kill signal
+// unwinds it quietly; any other panic ends the worker and propagates to
+// whoever resumed it.
+func (w *worker) run() {
+	p, fn := w.proc, w.fn
+	w.proc, w.fn = nil, nil
+	defer func() {
+		r := recover()
+		p.done = true
+		p.eng.procs--
+		delete(p.eng.live, p)
+		if r != nil && r != errProcKilled {
+			panic(r)
+		}
+	}()
+	fn(p)
 }
 
 // Kind implements runtime.Runtime: this is the simulated backend.
@@ -259,6 +313,7 @@ func (e *Engine) Run(until Time) Time {
 		panic("sim: Engine.Run re-entered")
 	}
 	e.running = true
+	e.until = until
 	defer func() { e.running = false }()
 	for len(e.queue) > 0 && !e.stopped {
 		if e.queue[0].at > until {
@@ -313,25 +368,27 @@ func (e *Engine) Shutdown() int {
 	for len(e.live) > 0 {
 		for p := range e.live {
 			reaped++
-			if !p.started {
-				// Its goroutine was never created; just unregister.
+			if p.w == nil {
+				// It never started; just unregister.
 				p.done = true
 				e.procs--
 				delete(e.live, p)
 				continue
 			}
-			// The process is blocked in Proc.block waiting on resume.
-			// Wake it with the kill flag set; block panics with
-			// errProcKilled, the goroutine's deferred handler swallows
-			// it and signals yielded. If a deferred function blocks
-			// again, the process stays live and is killed again on the
-			// next pass.
+			// The process is suspended in Proc.block. Resume it with
+			// the kill flag set; block panics with errProcKilled, the
+			// worker's deferred handler swallows it and the worker goes
+			// idle. If a deferred function blocks again, the process
+			// stays live and is killed again on the next pass.
 			p.killed = true
-			p.resume <- struct{}{}
-			<-e.yielded
+			p.w.next()
 			break // e.live changed; restart the iteration
 		}
 	}
+	for _, w := range e.idle {
+		w.stop()
+	}
+	e.idle = nil
 	return reaped
 }
 
@@ -360,16 +417,18 @@ func (e *Engine) LeakCheck() error {
 	return fmt.Errorf("sim: %d leaked process(es): %s", e.procs, strings.Join(names, ", "))
 }
 
-// Proc is a simulation process: a goroutine that alternates control with
-// the engine. All Proc methods must be called from the process's own
-// goroutine.
+// Proc is a simulation process: a body running on a worker coroutine
+// that alternates control with the engine's event loop. All Proc methods
+// must be called from the process itself.
 type Proc struct {
-	eng     *Engine
-	name    string
-	resume  chan struct{}
-	started bool
-	done    bool
-	killed  bool
+	eng  *Engine
+	name string
+	w    *worker // nil until the process starts
+	// wake resumes the process's worker, built once so scheduling a
+	// wake-up never allocates.
+	wake   func()
+	done   bool
+	killed bool
 }
 
 // Name returns the process name given to Engine.Go.
@@ -384,30 +443,35 @@ func (p *Proc) Runtime() runtime.Runtime { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// block yields control to the engine and waits until some event calls
-// p.wake.
+// block suspends the process until an event it scheduled (or handed to
+// a Signal or Resource) calls p.wake.
 func (p *Proc) block() {
-	p.eng.yielded <- struct{}{}
-	<-p.resume
+	p.w.yield(struct{}{})
 	if p.killed {
 		panic(errProcKilled)
 	}
 }
 
-// wake resumes a blocked process from engine context (inside an event) and
-// waits for it to block again or finish.
-func (p *Proc) wake() {
-	p.resume <- struct{}{}
-	<-p.eng.yielded
-}
-
 // Sleep suspends the process for virtual duration d.
+//
+// When the wake time comes strictly before every queued event and within
+// the current Run's bound, the loop would pop this process's wake next
+// anyway, so Sleep advances the clock inline and returns without a
+// switch. A tie goes through the queue, which keeps equal-time events in
+// (at, seq) FIFO order.
 func (p *Proc) Sleep(d Duration) {
-	if d <= 0 {
-		// Still yield so equal-time events interleave fairly.
+	if d < 0 {
+		// A zero sleep still yields to events due at the same time.
 		d = 0
 	}
-	p.eng.Schedule(d, p.wake)
+	e := p.eng
+	at := e.now + Time(d)
+	if e.running && !e.stopped && at <= e.until &&
+		(len(e.queue) == 0 || at < e.queue[0].at) {
+		e.now = at
+		return
+	}
+	e.Schedule(d, p.wake)
 	p.block()
 }
 

@@ -39,7 +39,6 @@ func (s *Signal) Fire(val interface{}) {
 	s.fired = true
 	s.val = val
 	for _, w := range s.waiters {
-		w := w
 		s.eng.Schedule(0, w.wake)
 	}
 	s.waiters = nil

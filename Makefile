@@ -41,11 +41,12 @@ bench-real:
 	$(GO) run ./cmd/cudele-bench -backend real -scale 0.01 \
 		-datadir results/real/objects -json -outdir results/real fig3a
 
-# fuzz-short runs the journal fuzzers for a bounded burst — long enough
-# to hit mutated corpus inputs, short enough for CI.
+# fuzz-short runs the journal and directory-listing fuzzers for a bounded
+# burst — long enough to hit mutated corpus inputs, short enough for CI.
 fuzz-short:
 	$(GO) test ./internal/journal -run='^FuzzDecode$$' -fuzz=FuzzDecode -fuzztime=10s
 	$(GO) test ./internal/journal -run='^FuzzCursorExport$$' -fuzz=FuzzCursorExport -fuzztime=10s
+	$(GO) test ./internal/namespace -run='^FuzzDirListing$$' -fuzz=FuzzDirListing -fuzztime=10s
 
 # chaos runs the seeded fault-injection harness — 64 consecutive seeds
 # cover every cell of the consistency x durability matrix several times —

@@ -51,21 +51,16 @@ func (s *Store) Check() []Problem {
 		}
 		reachable[dir.Ino] = true
 		if !dir.IsDir() {
-			if len(dir.children) > 0 {
+			if dir.children.len() > 0 {
 				problems = append(problems, Problem{
 					Kind: "file-children", Ino: dir.Ino, Path: path,
-					Info: fmt.Sprintf("regular file with %d dentries", len(dir.children)),
+					Info: fmt.Sprintf("regular file with %d dentries", dir.children.len()),
 				})
 			}
 			return
 		}
-		names := make([]string, 0, len(dir.children))
-		for name := range dir.children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			ci := dir.children[name]
+		for _, name := range dir.children.names() {
+			ci, _ := dir.children.get(name)
 			childPath := path + "/" + name
 			if path == "/" {
 				childPath = "/" + name
@@ -148,7 +143,7 @@ func (s *Store) MustHealthy() {
 //   - orphan inodes are re-linked under /lost+found (created on demand)
 //   - bad-parent and bad-name inodes are rewritten to match their dentry
 //   - dangling dentries are removed
-//   - file-children maps are cleared
+//   - dentries on regular files are cleared
 //
 // Overlapping grants are reported but not repaired (they need operator
 // policy). Repair returns the actions taken, in order.
@@ -189,7 +184,7 @@ func (s *Store) Repair() []string {
 			if err != nil {
 				continue
 			}
-			delete(parent.children, parts[len(parts)-1])
+			parent.children.del(parts[len(parts)-1])
 			actions = append(actions, fmt.Sprintf("removed dangling dentry %s", p.Path))
 		case "file-children":
 			in := s.inodes[p.Ino]
@@ -217,15 +212,15 @@ func (s *Store) Repair() []string {
 			}
 		}
 		name := fmt.Sprintf("ino-%d", p.Ino)
-		if _, exists := lost.children[name]; exists {
+		if _, exists := lost.children.get(name); exists {
 			continue
 		}
 		in.Parent = lost.Ino
 		in.Name = name
 		if lost.children == nil {
-			lost.children = make(map[string]Ino)
+			lost.children = newDentries()
 		}
-		lost.children[name] = in.Ino
+		lost.children.put(name, in.Ino)
 		actions = append(actions, fmt.Sprintf("moved orphan ino %d to /lost+found/%s", p.Ino, name))
 	}
 	s.version++

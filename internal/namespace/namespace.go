@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"path"
-	"sort"
 	"strings"
 
 	"cudele/internal/journal"
@@ -56,6 +55,20 @@ var (
 	ErrNoSpace  = errors.New("namespace: inode grant exhausted")   // ENOSPC
 )
 
+// lookupMissError is Lookup's ErrNotExist. Misses are common (every
+// create after a capability revoke first looks its name up), so the
+// message is formatted only when someone asks for it.
+type lookupMissError struct {
+	name   string
+	parent Ino
+}
+
+func (e *lookupMissError) Error() string {
+	return fmt.Sprintf("lookup %q in inode %d: %v", e.name, e.parent, ErrNotExist)
+}
+
+func (e *lookupMissError) Unwrap() error { return ErrNotExist }
+
 // Inode is one file or directory. Directory inodes carry their dentries
 // (a single directory fragment; CephFS fragments large directories, and
 // this Store keeps one fragment per directory). Following the paper's
@@ -72,8 +85,9 @@ type Inode struct {
 	Size   uint64
 	Mtime  int64
 
-	// children maps dentry name to child inode (directories only).
-	children map[string]Ino
+	// children holds the dentries (directories only; nil for files, so
+	// a file inode pays one pointer for it).
+	children *dentries
 
 	// Policy is the Cudele subtree policy stored in the large inode,
 	// nil when the subtree inherits from its parent.
@@ -84,7 +98,7 @@ type Inode struct {
 func (in *Inode) IsDir() bool { return in.Type == TypeDir }
 
 // NumChildren returns the number of dentries of a directory inode.
-func (in *Inode) NumChildren() int { return len(in.children) }
+func (in *Inode) NumChildren() int { return in.children.len() }
 
 // Store is the namespace metadata store.
 type Store struct {
@@ -115,7 +129,7 @@ func NewStore() *Store {
 		Name:     "/",
 		Type:     TypeDir,
 		Mode:     0755,
-		children: make(map[string]Ino),
+		children: newDentries(),
 	}
 	return s
 }
@@ -150,9 +164,9 @@ func (s *Store) Lookup(parent Ino, name string) (*Inode, error) {
 	if !dir.IsDir() {
 		return nil, fmt.Errorf("lookup %q in inode %d: %w", name, parent, ErrNotDir)
 	}
-	ci, ok := dir.children[name]
+	ci, ok := dir.children.get(name)
 	if !ok {
-		return nil, fmt.Errorf("lookup %q in inode %d: %w", name, parent, ErrNotExist)
+		return nil, &lookupMissError{name: name, parent: parent}
 	}
 	return s.Get(ci)
 }
@@ -316,9 +330,9 @@ func (s *Store) ReservedRanges() int { return len(s.reserved) }
 
 func (s *Store) insertChild(dir *Inode, in *Inode) {
 	if dir.children == nil {
-		dir.children = make(map[string]Ino)
+		dir.children = newDentries()
 	}
-	dir.children[in.Name] = in.Ino
+	dir.children.put(in.Name, in.Ino)
 	s.inodes[in.Ino] = in
 	s.version++
 }
@@ -345,7 +359,7 @@ func (s *Store) createCommon(parent Ino, name string, typ FileType, attrs Create
 	if !dir.IsDir() {
 		return nil, fmt.Errorf("create %q in inode %d: %w", name, parent, ErrNotDir)
 	}
-	if _, exists := dir.children[name]; exists {
+	if _, exists := dir.children.get(name); exists {
 		return nil, fmt.Errorf("create %q in inode %d: %w", name, parent, ErrExist)
 	}
 	ino := attrs.Ino
@@ -365,7 +379,7 @@ func (s *Store) createCommon(parent Ino, name string, typ FileType, attrs Create
 		Mtime:  attrs.Mtime,
 	}
 	if typ == TypeDir {
-		in.children = make(map[string]Ino)
+		in.children = newDentries()
 	}
 	s.insertChild(dir, in)
 	return in, nil
@@ -416,7 +430,7 @@ func (s *Store) Unlink(parent Ino, name string) error {
 		return fmt.Errorf("unlink %q: %w", name, ErrIsDir)
 	}
 	dir, _ := s.Get(parent)
-	delete(dir.children, name)
+	dir.children.del(name)
 	delete(s.inodes, victim.Ino)
 	s.version++
 	return nil
@@ -431,11 +445,11 @@ func (s *Store) Rmdir(parent Ino, name string) error {
 	if !victim.IsDir() {
 		return fmt.Errorf("rmdir %q: %w", name, ErrNotDir)
 	}
-	if len(victim.children) > 0 {
+	if victim.children.len() > 0 {
 		return fmt.Errorf("rmdir %q: %w", name, ErrNotEmpty)
 	}
 	dir, _ := s.Get(parent)
-	delete(dir.children, name)
+	dir.children.del(name)
 	delete(s.inodes, victim.Ino)
 	s.version++
 	return nil
@@ -480,7 +494,7 @@ func (s *Store) Rename(srcParent Ino, srcName string, dstParent Ino, dstName str
 		}
 	}
 	// Replace semantics for an existing destination.
-	if exIno, exists := dstDir.children[dstName]; exists {
+	if exIno, exists := dstDir.children.get(dstName); exists {
 		ex, err := s.Get(exIno)
 		if err != nil {
 			return err
@@ -490,19 +504,19 @@ func (s *Store) Rename(srcParent Ino, srcName string, dstParent Ino, dstName str
 			return fmt.Errorf("rename %q over directory: %w", srcName, ErrIsDir)
 		case !ex.IsDir() && src.IsDir():
 			return fmt.Errorf("rename directory over %q: %w", dstName, ErrNotDir)
-		case ex.IsDir() && len(ex.children) > 0:
+		case ex.IsDir() && ex.children.len() > 0:
 			return fmt.Errorf("rename over %q: %w", dstName, ErrNotEmpty)
 		}
 		delete(s.inodes, ex.Ino)
 	}
 	srcDir, _ := s.Get(srcParent)
-	delete(srcDir.children, srcName)
+	srcDir.children.del(srcName)
 	src.Parent = dstParent
 	src.Name = dstName
 	if dstDir.children == nil {
-		dstDir.children = make(map[string]Ino)
+		dstDir.children = newDentries()
 	}
-	dstDir.children[dstName] = src.Ino
+	dstDir.children.put(dstName, src.Ino)
 	s.version++
 	return nil
 }
@@ -519,7 +533,10 @@ func (s *Store) SetAttr(ino Ino, mode, uid, gid uint32, size uint64, mtime int64
 	return nil
 }
 
-// ReadDir returns the dentry names of directory ino in sorted order.
+// ReadDir returns the dentry names of directory ino in sorted order. The
+// caller owns the returned slice. The directory keeps its sorted listing
+// between calls (see dentries), so a repeated ReadDir costs a merge of the
+// names added since, not a sort.
 func (s *Store) ReadDir(ino Ino) ([]string, error) {
 	dir, err := s.Get(ino)
 	if err != nil {
@@ -528,12 +545,7 @@ func (s *Store) ReadDir(ino Ino) ([]string, error) {
 	if !dir.IsDir() {
 		return nil, fmt.Errorf("readdir inode %d: %w", ino, ErrNotDir)
 	}
-	names := make([]string, 0, len(dir.children))
-	for name := range dir.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, nil
+	return dir.children.listing(), nil
 }
 
 // Walk visits every inode under root (inclusive) in depth-first, sorted
@@ -557,9 +569,8 @@ func (s *Store) walk(p string, ino Ino, fn func(string, *Inode) error) error {
 	if !in.IsDir() {
 		return nil
 	}
-	names, _ := s.ReadDir(ino)
-	for _, name := range names {
-		child := in.children[name]
+	for _, name := range in.children.names() {
+		child, _ := in.children.get(name)
 		cp := p + "/" + name
 		if p == "/" {
 			cp = "/" + name
@@ -594,7 +605,7 @@ func (s *Store) PruneSubtree(p string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	delete(parent.children, root.Name)
+	parent.children.del(root.Name)
 	for _, ino := range victims {
 		delete(s.inodes, ino)
 	}

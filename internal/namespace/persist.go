@@ -69,15 +69,16 @@ func (s *Store) EncodeDir(ino Ino) ([]byte, error) {
 	if !dir.IsDir() {
 		return nil, fmt.Errorf("encode dir %d: %w", ino, ErrNotDir)
 	}
-	body := make([]byte, 0, 64+32*len(dir.children))
+	body := make([]byte, 0, 64+32*dir.children.len())
 	body = putUvar(body, uint64(dir.Ino))
 	body = putUvar(body, uint64(dir.Parent))
 	body = putStr(body, dir.Name)
 	body = putUvar(body, uint64(dir.Mode))
-	names, _ := s.ReadDir(ino)
+	names := dir.children.names()
 	body = putUvar(body, uint64(len(names)))
 	for _, name := range names {
-		child, err := s.Get(dir.children[name])
+		ci, _ := dir.children.get(name)
+		child, err := s.Get(ci)
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +220,7 @@ func (s *Store) InstallDir(d *DirObject) error {
 		dir = &Inode{
 			Ino: d.Ino, Parent: d.Parent, Name: d.Name,
 			Type: TypeDir, Mode: d.Mode,
-			children: make(map[string]Ino),
+			children: newDentries(),
 		}
 		s.insertChild(parent, dir)
 	}
@@ -229,18 +230,18 @@ func (s *Store) InstallDir(d *DirObject) error {
 	for _, e := range d.Entries {
 		incoming[e.Name] = e
 	}
-	for name, ci := range dir.children {
+	for name, ci := range dir.children.all() {
 		if _, ok := incoming[name]; !ok {
 			child, _ := s.Get(ci)
 			if child != nil && child.IsDir() {
 				continue // directory contents live in their own object
 			}
-			delete(dir.children, name)
+			dir.children.del(name)
 			delete(s.inodes, ci)
 		}
 	}
 	for _, e := range d.Entries {
-		if existing, ok := dir.children[e.Name]; ok {
+		if existing, ok := dir.children.get(e.Name); ok {
 			in, _ := s.Get(existing)
 			if in != nil {
 				in.Mode, in.UID, in.GID, in.Size, in.Mtime = e.Mode, e.UID, e.GID, e.Size, e.Mtime
@@ -252,7 +253,7 @@ func (s *Store) InstallDir(d *DirObject) error {
 			Mode: e.Mode, UID: e.UID, GID: e.GID, Size: e.Size, Mtime: e.Mtime,
 		}
 		if e.Type == TypeDir {
-			in.children = make(map[string]Ino)
+			in.children = newDentries()
 		}
 		s.insertChild(dir, in)
 	}
@@ -275,7 +276,7 @@ func (s *Store) Dirs() []Ino {
 			continue
 		}
 		var subdirs []Ino
-		for _, ci := range dir.children {
+		for _, ci := range dir.children.all() {
 			if child, _ := s.Get(ci); child != nil && child.IsDir() {
 				subdirs = append(subdirs, ci)
 			}

@@ -94,8 +94,10 @@ func TestResourceQueueLenAndMeanWait(t *testing.T) {
 	if !probed {
 		t.Fatal("probe never ran")
 	}
-	if r.MeanWait() <= 0 {
-		t.Fatalf("mean wait = %v, want > 0", r.MeanWait())
+	// The waiter queued from 1 ms to 10 ms; MeanWait divides that by both
+	// acquires, the holder's unqueued one included.
+	if r.MeanWait() != 4500*time.Microsecond {
+		t.Fatalf("mean wait = %v, want 4.5ms", r.MeanWait())
 	}
 }
 

@@ -326,3 +326,37 @@ func TestWorkersReusedAndReaped(t *testing.T) {
 		t.Fatalf("goroutines: %d before the engine, %d after Shutdown", before, after)
 	}
 }
+
+// TestResourceContendedAllocs: with three processes taking turns on a
+// capacity-1 resource, two always wait, and a steady-state
+// Acquire/Release cycle reuses the FIFO's backing array and keeps the
+// wait start on the stack, so it does not allocate.
+func TestResourceContendedAllocs(t *testing.T) {
+	e := NewEngine(1)
+	r := NewResource(e, "cpu", 1)
+	stop := false
+	for i := 0; i < 3; i++ {
+		e.Go("user", func(p *Proc) {
+			for !stop {
+				r.Use(p, time.Microsecond)
+			}
+		})
+	}
+	until := Time(64 * time.Microsecond)
+	e.Run(until) // warm up the queues' backing arrays
+	if r.QueueLen() != 2 {
+		t.Fatalf("queue len = %d, want 2 (contended)", r.QueueLen())
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		until += Time(64 * time.Microsecond)
+		e.Run(until)
+	})
+	if avg != 0 {
+		t.Fatalf("64 contended Acquire/Release cycles allocate %.1f times, want 0", avg)
+	}
+	stop = true
+	e.RunAll()
+	if e.LiveProcs() != 0 {
+		t.Fatalf("live procs = %d", e.LiveProcs())
+	}
+}

@@ -66,14 +66,18 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	queue    []*Proc
+	// queue[head:] are the waiters, oldest first. Release advances head
+	// instead of reslicing, and the backing array is reused once the
+	// queue drains (or compacted when it fills), so a contended
+	// Acquire/Release cycle does not allocate.
+	queue []*Proc
+	head  int
 
 	// accounting
 	busyArea   float64 // integral of inUse over time, in unit·seconds
 	lastChange Time
 	acquires   uint64
 	waitTotal  Duration
-	waitStart  map[*Proc]Time
 }
 
 // NewResource creates a resource with the given capacity (>= 1).
@@ -82,10 +86,9 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 		panic(fmt.Sprintf("sim: resource %q capacity %d < 1", name, capacity))
 	}
 	r := &Resource{
-		eng:       e,
-		name:      name,
-		capacity:  capacity,
-		waitStart: make(map[*Proc]Time),
+		eng:      e,
+		name:     name,
+		capacity: capacity,
 	}
 	e.resources = append(e.resources, r)
 	return r
@@ -101,7 +104,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return len(r.queue) - r.head }
 
 func (r *Resource) account() {
 	now := r.eng.now
@@ -113,22 +116,26 @@ func (r *Resource) account() {
 func (r *Resource) Acquire(t runtime.Task) {
 	p := task(t)
 	r.acquires++
-	if r.inUse < r.capacity && len(r.queue) == 0 {
+	if r.inUse < r.capacity && r.QueueLen() == 0 {
 		r.account()
 		r.inUse++
 		return
 	}
+	if r.head > 0 && len(r.queue) == cap(r.queue) {
+		n := copy(r.queue, r.queue[r.head:])
+		clear(r.queue[n:])
+		r.queue, r.head = r.queue[:n], 0
+	}
 	r.queue = append(r.queue, p)
-	r.waitStart[p] = r.eng.now
+	start := r.eng.now
 	p.block()
 	// Woken by Release with the unit already transferred to us.
-	r.waitTotal += Duration(r.eng.now - r.waitStart[p])
-	delete(r.waitStart, p)
+	r.waitTotal += Duration(r.eng.now - start)
 }
 
 // TryAcquire takes one unit if immediately available and reports success.
 func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity && len(r.queue) == 0 {
+	if r.inUse < r.capacity && r.QueueLen() == 0 {
 		r.account()
 		r.inUse++
 		return true
@@ -141,11 +148,15 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic(fmt.Sprintf("sim: resource %q released below zero", r.name))
 	}
-	if len(r.queue) > 0 {
+	if r.QueueLen() > 0 {
 		// Transfer the unit directly: inUse stays constant, so no
 		// accounting edge.
-		next := r.queue[0]
-		r.queue = r.queue[1:]
+		next := r.queue[r.head]
+		r.queue[r.head] = nil
+		r.head++
+		if r.head == len(r.queue) {
+			r.queue, r.head = r.queue[:0], 0
+		}
 		r.eng.Schedule(0, next.wake)
 		return
 	}
@@ -213,7 +224,7 @@ func (r *Resource) Snapshot() ResourceSnapshot {
 		Name:        r.name,
 		Capacity:    r.capacity,
 		InUse:       r.inUse,
-		QueueLen:    len(r.queue),
+		QueueLen:    r.QueueLen(),
 		Acquires:    r.acquires,
 		BusyArea:    r.busyArea,
 		WaitTotal:   r.waitTotal,
@@ -222,8 +233,9 @@ func (r *Resource) Snapshot() ResourceSnapshot {
 	}
 }
 
-// MeanWait returns the mean queueing delay of completed Acquire calls that
-// had to wait.
+// MeanWait returns the total queueing delay of completed Acquire calls
+// divided by the number of Acquire calls, including those that did not
+// wait, as realrt's Resource does.
 func (r *Resource) MeanWait() Duration {
 	if r.acquires == 0 {
 		return 0

@@ -37,6 +37,11 @@ func (e *WrongRankError) Error() string {
 // IsRedirect reports whether err is (or wraps) a WrongRankError and
 // returns it.
 func IsRedirect(err error) (*WrongRankError, bool) {
+	// errors.As makes wr escape, so check the common nil reply first: it
+	// keeps every successful reply free of an allocation.
+	if err == nil {
+		return nil, false
+	}
 	var wr *WrongRankError
 	if errors.As(err, &wr) {
 		return wr, true

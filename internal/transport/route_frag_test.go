@@ -112,6 +112,11 @@ func TestWrongRankError(t *testing.T) {
 	if _, ok := IsRedirect(nil); ok {
 		t.Errorf("nil classified as redirect")
 	}
+	// Every reply goes through IsRedirect; a successful one must not
+	// allocate.
+	if avg := testing.AllocsPerRun(100, func() { IsRedirect(nil) }); avg != 0 {
+		t.Errorf("IsRedirect(nil) allocates %.1f times, want 0", avg)
+	}
 	if frozen.Error() == moved.Error() {
 		t.Errorf("frozen and moved redirects should render differently")
 	}
